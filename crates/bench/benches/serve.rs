@@ -2,8 +2,8 @@
 //! construction, batched top-K querying (the per-iteration p50/p99 the
 //! harness prints are the serving latency numbers), deadline enforcement
 //! overhead (happy-path budget checks must cost <2%, and an exhausted
-//! budget must degrade quickly rather than block) and incremental
-//! ingestion through the query engine.
+//! budget must be shed quickly rather than block) and incremental
+//! ingestion through the router.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -11,9 +11,9 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use sem_serve::{
-    loadgen, AnnIndex, EngineConfig, FacetLayout, HedgeConfig, Hit, IndexConfig, Maintainer,
-    MaintenanceConfig, QueryEngine, QueryRequest, RerankParams, ShardConfig, ShardRouter,
-    ShardSupervisor, SupervisorConfig,
+    loadgen, AnnIndex, FacetLayout, HedgeConfig, Hit, IndexConfig, Maintainer, MaintenanceConfig,
+    QueryRequest, RerankParams, ServeError, ShardConfig, ShardRouter, ShardSupervisor,
+    SupervisorConfig,
 };
 
 const DIM: usize = 24;
@@ -39,6 +39,14 @@ fn bench_build(c: &mut Criterion) {
     });
 }
 
+/// The 2000-paper IVF corpus served as a plain snapshot would be: one
+/// shard. A 1-entry cache keeps repeated query sets scanning, so the
+/// benches measure the serving path rather than LRU lookups.
+fn one_shard_router() -> ShardRouter {
+    let config = ShardConfig { shards: 1, index: ivf_config(), cache_capacity: 1 };
+    ShardRouter::try_build(corpus_vectors(2000, 7), config).expect("2000 papers build cleanly")
+}
+
 fn bench_query(c: &mut Criterion) {
     let index = AnnIndex::build(corpus_vectors(2000, 7), ivf_config());
     let queries = corpus_vectors(32, 99);
@@ -48,15 +56,15 @@ fn bench_query(c: &mut Criterion) {
         bench.iter(|| index.search(black_box(&single), 10))
     });
 
-    // The coalesced path: 32 concurrent queries answered as one rayon
-    // batch through the engine (cache + counters included). Per-iteration
-    // p50/p99 here are the batched-query latency numbers.
-    c.bench_function("serve/query-top10-batch32-engine", |bench| {
+    // 32 queries answered in turn through the one-shard router (cache,
+    // admission and counters included). Per-iteration p50/p99 here are
+    // the batch latency numbers.
+    let router = one_shard_router();
+    c.bench_function("serve/query-top10-batch32-router1", |bench| {
         bench.iter(|| {
-            let engine = QueryEngine::new(index.clone(), EngineConfig::default());
             let requests: Vec<QueryRequest> =
                 queries.iter().map(|q| QueryRequest::new(q.clone(), 10)).collect();
-            black_box(engine.query_batch(requests).unwrap())
+            black_box(router.query_batch(requests).unwrap())
         })
     });
 }
@@ -73,33 +81,34 @@ fn bench_deadline(c: &mut Criterion) {
         bench.iter(|| index.search_deadline(black_box(&single), 10, generous).unwrap())
     });
 
-    // Degraded mode: the budget is already exhausted at enqueue time, so
-    // every query must come back (partial, flagged) almost instantly —
-    // this measures how fast the engine sheds load under pressure.
-    c.bench_function("serve/query-top10-batch32-degraded", |bench| {
-        let queries = corpus_vectors(32, 99);
+    // Overload: the budget is already exhausted on arrival, so every
+    // query must be refused (typed `DeadlineExceeded`) almost instantly —
+    // this measures how fast the router sheds load under pressure.
+    let router = one_shard_router();
+    let queries = corpus_vectors(32, 99);
+    c.bench_function("serve/query-top10-batch32-shed-router1", |bench| {
         bench.iter(|| {
-            let engine = QueryEngine::new(
-                index.clone(),
-                EngineConfig { default_deadline: Some(Duration::ZERO), ..Default::default() },
-            );
-            let requests: Vec<QueryRequest> =
-                queries.iter().map(|q| QueryRequest::new(q.clone(), 10)).collect();
-            let responses = engine.query_batch(requests).unwrap();
-            assert!(responses.iter().all(|r| r.degraded));
+            let responses: Vec<_> = queries
+                .iter()
+                .map(|q| {
+                    router.query_request(
+                        QueryRequest::new(q.clone(), 10).with_deadline(Duration::ZERO),
+                    )
+                })
+                .collect();
+            assert!(responses.iter().all(|r| matches!(r, Err(ServeError::DeadlineExceeded))));
             black_box(responses)
         })
     });
 }
 
 fn bench_ingest(c: &mut Criterion) {
-    let index = AnnIndex::build(corpus_vectors(2000, 7), ivf_config());
+    // Ingest into the one-shard router: route, insert into the IVF cell,
+    // targeted cache invalidation. The index grows by one per iteration.
+    let router = one_shard_router();
     let fresh = corpus_vectors(1, 1234).pop().unwrap();
-    c.bench_function("serve/ingest-into-ivf-2000", |bench| {
-        bench.iter(|| {
-            let engine = QueryEngine::new(index.clone(), EngineConfig::default());
-            black_box(engine.ingest_vector(black_box(fresh.clone())))
-        })
+    c.bench_function("serve/ingest-into-ivf-2000-router1", |bench| {
+        bench.iter(|| black_box(router.ingest_vector(black_box(fresh.clone())).unwrap()))
     });
 }
 

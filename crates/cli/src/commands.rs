@@ -219,15 +219,16 @@ automatically. `--deadline-ms` bounds per-query latency: an exhausted
 budget returns a partial result flagged degraded instead of blocking.
 
 `--shards N` (N > 1) builds a sharded family — `<out>.shard0..N-1` plus
-`<out>.manifest` — that query/ingest/verify detect automatically: queries
-fan out across shards and merge, an ingest journals to exactly the owning
-shard, and `index verify` reports per-shard integrity (non-zero exit if
-any shard fails). The `loadgen` binary (sem-serve crate) drives the
+`<out>.manifest` — that every serve command detects automatically; a plain
+snapshot is served as a family of one shard. Queries fan out across shards
+and merge, an ingest journals to exactly the owning shard, and `index
+verify` reports per-shard integrity (non-zero exit if any shard fails). The `loadgen` binary (sem-serve crate) drives the
 sharded path with open-loop fixed-QPS load and reports p50/p90/p99 JSON;
 `--churn` soaks live maintenance (backpressured streaming ingest, online
 compaction, drift re-clustering). `index probe --check-store true
 --max-journal-entries N` alarms on journal tails that outgrew their
-compaction budget; `index maintain` compacts/re-clusters a family online.
+compaction budget; `index maintain` compacts/re-clusters any index family
+(plain snapshot or sharded) online.
 
 observability: `--metrics-out PATH` on train / index query / ingest writes
 the run's metrics snapshot as JSON at PATH and Prometheus text at

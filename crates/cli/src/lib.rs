@@ -13,16 +13,18 @@
 //! sem embed     --model model-dir --paper ID
 //! sem analyze   --corpus corpus.json [--lof-k K]
 //! sem recommend --corpus corpus.json --split YEAR --user ID [--top N]
-//! sem index build  --model model-dir --out index.snap [--nlist N] [--nprobe N]
+//! sem index build  --model model-dir --out index.snap [--shards N] [--nlist N] [--nprobe N]
 //! sem index query  --model model-dir --index index.snap --paper ID[,ID...] [--k K] [--deadline-ms MS]
 //! sem index verify --index index.snap
+//! sem index probe  --index index.snap [--check-store true] [--max-journal-entries N]
+//! sem index maintain --index index.snap [--compact] [--recluster] [--status]
 //! sem ingest       --model model-dir --index index.snap --title T --abstract TEXT [--year Y]
 //! ```
 //!
-//! The serve family (`index build` / `index query` / `index verify` /
-//! `ingest`) speaks JSON on stdout and is backed by the `sem-serve` crate:
-//! an IVF-flat ANN index over SEM paper embeddings, a batched query engine
-//! with an LRU result cache, and incremental zero-citation-paper ingestion.
+//! The serve family (`index ...` / `ingest`) speaks JSON on stdout and is
+//! backed by the `sem-serve` crate: an IVF-flat ANN index over SEM paper
+//! embeddings served by one shard router (a plain snapshot is one shard)
+//! with LRU result caches, and incremental zero-citation-paper ingestion.
 //! Indexes live in crash-safe snapshots (checksummed header, atomic
 //! rename) with a write-ahead journal alongside: `ingest` fsyncs the
 //! journal before acknowledging, loading replays it, `index verify`

@@ -1,22 +1,24 @@
-//! The serve-family commands: `index build`, `index query`, `index verify`
-//! and `ingest`.
+//! The serve-family commands: `index build`, `index query`, `index
+//! verify`, `index probe`, `index maintain` and `ingest`.
 //!
-//! All four speak JSON on stdout (they are meant to be scripted against)
-//! and share the model directory produced by `sem train`. The index file is
-//! a crash-safe [`IndexStore`] snapshot — checksummed header, atomic
+//! All of them speak JSON on stdout (they are meant to be scripted
+//! against) and share the model directory produced by `sem train`. Every
+//! command serves its index through one [`ShardRouter`]: a plain snapshot
+//! (`index build` without `--shards`) opens as a one-shard family, a
+//! `--shards N` build as N shards behind a manifest. Each shard is a
+//! crash-safe [`sem_serve::IndexStore`] — checksummed header, atomic
 //! rename, write-ahead journal alongside — so `index query` and `ingest`
 //! recover to the last durable state automatically, `ingest` journals the
 //! new paper before acknowledging it, and `index verify` gives operators
 //! (and the recovery tests) a machine-readable integrity report.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use sem_corpus::{Corpus, Paper, PaperId, Sentence, Subspace, NUM_SUBSPACES};
 use sem_serve::{
-    parse_weights, AnnIndex, DegradeReason, EngineConfig, FacetLayout, IndexConfig, IndexStore,
-    PaperEmbedder, QueryEngine, QueryRequest, RerankParams, ShardConfig, ShardManifest,
-    ShardRouter, DEFAULT_CANDIDATES,
+    parse_weights, DegradeReason, FacetLayout, Hit, IndexConfig, PaperEmbedder, QueryRequest,
+    RecoveryStats, RerankParams, ShardConfig, ShardRouter, DEFAULT_CANDIDATES,
 };
 use serde::Serialize;
 
@@ -80,6 +82,23 @@ pub(crate) fn index(argv: &[String]) -> Result<String, CliError> {
     }
 }
 
+/// Opens the index family at `path` (a plain snapshot or a sharded
+/// family) for serving `embedder`'s vectors.
+fn open_for_model(
+    path: &str,
+    embedder: &PaperEmbedder,
+) -> Result<(ShardRouter, Vec<RecoveryStats>), CliError> {
+    let (router, recoveries) = ShardRouter::open(Path::new(path), ShardConfig::default())?;
+    if router.dim() != embedder.dim() {
+        return Err(CliError(format!(
+            "index width {} does not match the model's {}",
+            router.dim(),
+            embedder.dim()
+        )));
+    }
+    Ok((router, recoveries))
+}
+
 #[derive(Serialize)]
 struct BuildSummary {
     papers: usize,
@@ -94,11 +113,12 @@ struct BuildSummary {
 /// `sem index build --model DIR --out index.snap [--shards N] [--nlist N]
 /// [--nprobe N] [--flat-threshold N] [--quantize sq8]`: embeds every
 /// corpus paper and builds the ANN index, persisted as a crash-safe
-/// snapshot. With `--shards N > 1` the corpus is partitioned round-robin
-/// into a sharded family (`index.snap.shard0..N-1` + `index.snap.manifest`)
-/// that `index query`, `ingest` and `index verify` detect automatically.
-/// `--quantize sq8` stores SQ8 codes alongside the vectors and serves
-/// stage-0 scans from them (final scores stay exact via f32 rescore).
+/// snapshot at `out`. With `--shards N > 1` the corpus is partitioned
+/// round-robin into a sharded family (`index.snap.shard0..N-1` +
+/// `index.snap.manifest`) that the other serve commands detect
+/// automatically. `--quantize sq8` stores SQ8 codes alongside the vectors
+/// and serves stage-0 scans from them (final scores stay exact via f32
+/// rescore).
 fn index_build(args: &Args) -> Result<String, CliError> {
     let dir = PathBuf::from(args.required("model")?);
     let out = args.required("out")?;
@@ -120,67 +140,40 @@ fn index_build(args: &Args) -> Result<String, CliError> {
     let t0 = Instant::now();
     let embedder = PaperEmbedder::new(&pipeline, &sem);
     let vectors = embedder.embed_corpus(&corpus);
-    let summary = if shards > 1 {
-        let router = ShardRouter::try_build(
-            vectors,
-            ShardConfig { shards, index: config, ..Default::default() },
-        )?;
-        // record the embedder's facet structure so `index query --facets`
-        // can rescore per subspace
-        router.set_layout(embedder.layout())?;
-        if quantize {
-            // quantize before the stores attach so the persisted
-            // snapshots carry the codes
-            router.enable_sq8()?;
-        }
-        router.attach_stores(std::path::Path::new(out))?;
-        router.persist_all()?;
-        BuildSummary {
-            papers: router.len(),
-            dim: router.dim(),
-            mode: "sharded".into(),
-            shards,
-            quantized: quantize,
-            elapsed_ms: t0.elapsed().as_millis() as u64,
-            out: out.to_string(),
-        }
-    } else {
-        let mut index = AnnIndex::try_build(vectors, config)?.with_layout(embedder.layout())?;
-        if quantize {
-            index.enable_sq8()?;
-        }
-        IndexStore::open(out).save_snapshot(&index)?;
-        BuildSummary {
-            papers: index.len(),
-            dim: index.dim(),
-            mode: if index.is_flat() { "flat".into() } else { "ivf".into() },
-            shards: 1,
-            quantized: quantize,
-            elapsed_ms: t0.elapsed().as_millis() as u64,
-            out: out.to_string(),
-        }
-    };
-    to_pretty(&summary)
+    let router = ShardRouter::try_build(
+        vectors,
+        ShardConfig { shards, index: config, ..Default::default() },
+    )?;
+    // record the embedder's facet structure so `index query --facets` can
+    // rescore per subspace
+    router.set_layout(embedder.layout())?;
+    if quantize {
+        // quantize before the stores attach so the persisted snapshots
+        // carry the codes
+        router.enable_sq8()?;
+    }
+    router.attach_stores(Path::new(out))?;
+    router.persist_all()?;
+    let flat = router.shard(0).with_index(|i| i.is_flat())?;
+    to_pretty(&BuildSummary {
+        papers: router.len(),
+        dim: router.dim(),
+        mode: if flat { "flat".into() } else { "ivf".into() },
+        shards,
+        quantized: quantize,
+        elapsed_ms: t0.elapsed().as_millis() as u64,
+        out: out.to_string(),
+    })
 }
 
-/// `sem index verify --index index.snap`: checks the snapshot header +
-/// checksum and scans the journal, printing a JSON integrity report.
-/// On a sharded family (manifest present) every shard store is walked and
-/// the report carries a per-shard verdict. Exit status is an error when
-/// any store would not recover cleanly.
+/// `sem index verify --index index.snap`: checks every shard store's
+/// snapshot header + checksum and scans its journal, printing a JSON
+/// integrity report with a per-shard verdict (a plain snapshot is one
+/// shard). Exit status is an error when any store would not recover
+/// cleanly.
 fn index_verify(args: &Args) -> Result<String, CliError> {
     let path = args.required("index")?;
-    if ShardManifest::exists(std::path::Path::new(path)) {
-        let report = sem_serve::verify_sharded(std::path::Path::new(path))?;
-        let rendered = to_pretty(&report)?;
-        return if report.ok {
-            Ok(rendered)
-        } else {
-            Err(CliError(format!("sharded index failed verification:\n{rendered}")))
-        };
-    }
-    let store = IndexStore::open(path);
-    let report = store.verify();
+    let report = sem_serve::verify_sharded(Path::new(path))?;
     let rendered = to_pretty(&report)?;
     if report.ok {
         Ok(rendered)
@@ -193,7 +186,6 @@ fn index_verify(args: &Args) -> Result<String, CliError> {
 /// same check the in-process [`sem_serve::ShardSupervisor`] runs.
 #[derive(Serialize)]
 struct ProbeSummary {
-    mode: String,
     shards: usize,
     serving_ok: bool,
     /// Ordinals whose journal tail exceeds `--max-journal-entries`
@@ -204,9 +196,9 @@ struct ProbeSummary {
 
 /// `sem index probe --index index.snap [--check-store true]
 /// [--max-journal-entries N]`: runs the supervisor's health probe against
-/// each shard of the family (or the single snapshot) and prints a JSON
-/// verdict. Exit status is an error when any serving probe fails — the
-/// operator-facing analogue of a supervisor trip. With `--check-store
+/// each shard of the family (a plain snapshot is one shard) and prints a
+/// JSON verdict. Exit status is an error when any serving probe fails —
+/// the operator-facing analogue of a supervisor trip. With `--check-store
 /// true --max-journal-entries N` an un-compacted journal tail longer than
 /// N also alarms: the shard serves fine today but recovery replay (and
 /// the next compaction pause) is growing without bound.
@@ -225,18 +217,7 @@ fn index_probe(args: &Args) -> Result<String, CliError> {
             "--max-journal-entries needs --check-store true (tails live on disk)".into(),
         ));
     }
-    let base = std::path::Path::new(path);
-    let (mode, router) = if ShardManifest::exists(base) {
-        let (router, _recoveries) = ShardRouter::open(base, ShardConfig::default())?;
-        ("sharded".to_string(), router)
-    } else {
-        // a single snapshot probes as a one-shard family
-        let (index, _recovery) = load_index(path)?;
-        let vectors = (0..index.len()).map(|i| index.vector(i).to_vec()).collect();
-        let router =
-            ShardRouter::try_build(vectors, ShardConfig { shards: 1, ..Default::default() })?;
-        ("single".to_string(), router)
-    };
+    let (router, _recoveries) = ShardRouter::open(Path::new(path), ShardConfig::default())?;
     let probes: Vec<sem_serve::ProbeReport> = (0..router.num_shards())
         .map(|i| router.shard(i).probe(check_store))
         .collect::<Result<_, _>>()?;
@@ -251,8 +232,7 @@ fn index_probe(args: &Args) -> Result<String, CliError> {
             .collect(),
     };
     let ok = serving_ok && tail_alarms.is_empty();
-    let report =
-        ProbeSummary { mode, shards: router.num_shards(), serving_ok, tail_alarms, probes };
+    let report = ProbeSummary { shards: router.num_shards(), serving_ok, tail_alarms, probes };
     let rendered = to_pretty(&report)?;
     if ok {
         Ok(rendered)
@@ -272,26 +252,21 @@ struct MaintainSummary {
 }
 
 /// `sem index maintain --index index.snap [--compact] [--recluster]
-/// [--status]`: operator-driven maintenance on a sharded family.
-/// `--compact` folds each shard's journal into a fresh snapshot online
-/// (the same protocol the background [`sem_serve::Maintainer`] uses),
-/// `--recluster` forces a drift re-train with epoch handover (persisted
-/// when the table actually changed), and the report always carries the
-/// per-shard maintenance status (`--status` alone is a pure read).
+/// [--status]`: operator-driven maintenance on any index family, plain
+/// snapshot (one shard) or sharded. `--compact` folds each shard's journal
+/// into a fresh snapshot online (the same protocol the background
+/// [`sem_serve::Maintainer`] uses), `--recluster` forces a drift re-train
+/// with epoch handover (persisted when the table actually changed), and
+/// the report always carries the per-shard maintenance status (`--status`
+/// alone is a pure read).
 fn index_maintain(args: &Args) -> Result<String, CliError> {
     let path = args.required("index")?;
-    let base = std::path::Path::new(path);
-    if !ShardManifest::exists(base) {
-        return Err(CliError(
-            "index maintain needs a sharded family (build with --shards N > 1)".into(),
-        ));
-    }
     if !(args.switch("compact") || args.switch("recluster") || args.switch("status")) {
         return Err(CliError(
             "usage: sem index maintain --index BASE [--compact] [--recluster] [--status]".into(),
         ));
     }
-    let (router, _recoveries) = ShardRouter::open(base, ShardConfig::default())?;
+    let (router, _recoveries) = ShardRouter::open(Path::new(path), ShardConfig::default())?;
     let mut compactions = Vec::new();
     if args.switch("compact") {
         for i in 0..router.num_shards() {
@@ -325,6 +300,21 @@ struct HitOut {
     year: u16,
 }
 
+/// Labels served hits with their corpus title and year. `ingested`
+/// names a paper that has no corpus entry yet (the one just ingested).
+fn hits_out(corpus: &Corpus, hits: Vec<Hit>, ingested: Option<(usize, &str, u16)>) -> Vec<HitOut> {
+    hits.into_iter()
+        .map(|h| {
+            let (title, year) = match (ingested, corpus.papers.get(h.id)) {
+                (Some((id, title, year)), _) if id == h.id => (title.to_string(), year),
+                (_, Some(p)) => (p.title.clone(), p.year),
+                (_, None) => ("(ingested after index build)".into(), 0),
+            };
+            HitOut { id: h.id, score: h.score, title, year }
+        })
+        .collect()
+}
+
 #[derive(Serialize)]
 struct QueryOut {
     paper: usize,
@@ -336,117 +326,17 @@ struct QueryOut {
 #[derive(Serialize)]
 struct QueryReport {
     results: Vec<QueryOut>,
-    recovery: RecoveryOut,
-    stats: sem_serve::StatsSnapshot,
-}
-
-/// What loading the index found on disk (journal replay counters).
-#[derive(Serialize)]
-struct RecoveryOut {
-    replayed: usize,
-    skipped: usize,
-    discarded_tail: bool,
-}
-
-fn describe(corpus: &Corpus, id: usize) -> (String, u16) {
-    match corpus.papers.get(id) {
-        Some(p) => (p.title.clone(), p.year),
-        None => ("(ingested after index build)".into(), 0),
-    }
-}
-
-/// Loads the index through the store (snapshot + journal replay) and
-/// reports what recovery saw.
-fn load_index(path: &str) -> Result<(AnnIndex, RecoveryOut), CliError> {
-    let recovery = IndexStore::open(path).load()?;
-    let out = RecoveryOut {
-        replayed: recovery.replayed,
-        skipped: recovery.skipped,
-        discarded_tail: recovery.discarded_tail,
-    };
-    Ok((recovery.index, out))
-}
-
-/// Report for a query served by the sharded scatter-gather path.
-#[derive(Serialize)]
-struct ShardedQueryReport {
-    results: Vec<QueryOut>,
-    recoveries: Vec<RecoveryOut>,
+    /// What opening each shard found on disk (journal replay counters).
+    recoveries: Vec<RecoveryStats>,
     stats: sem_serve::RouterStatsSnapshot,
 }
 
-/// The sharded branch of `index query`: opens the family at `base`, fans
-/// each query across shards and heap-merges the per-shard top-K.
-fn index_query_sharded(
-    base: &str,
-    corpus: &Corpus,
-    embedder: &PaperEmbedder,
-    papers: &[usize],
-    k: usize,
-    deadline_ms: u64,
-    facet_args: &FacetArgs,
-) -> Result<String, CliError> {
-    let (router, recoveries) =
-        ShardRouter::open(std::path::Path::new(base), ShardConfig::default())?;
-    if router.dim() != embedder.dim() {
-        return Err(CliError(format!(
-            "index width {} does not match the model's {}",
-            router.dim(),
-            embedder.dim()
-        )));
-    }
-    let rerank = facet_args.to_params(&router.layout())?;
-    let requests: Vec<QueryRequest> = papers
-        .iter()
-        .map(|&p| {
-            let mut r = QueryRequest::new(embedder.embed_indexed(corpus, PaperId::from(p)), k);
-            r.deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-            match &rerank {
-                Some(params) => r.with_rerank(params.clone()),
-                None => r,
-            }
-        })
-        .collect();
-    let responses = router.query_batch(requests)?;
-    let results = papers
-        .iter()
-        .zip(responses)
-        .map(|(&p, response)| QueryOut {
-            paper: p,
-            degraded: response.degraded,
-            reason: response.reason,
-            hits: response
-                .hits
-                .into_iter()
-                .map(|h| {
-                    let (title, year) = describe(corpus, h.id);
-                    HitOut { id: h.id, score: h.score, title, year }
-                })
-                .collect(),
-        })
-        .collect();
-    let report = ShardedQueryReport {
-        results,
-        recoveries: recoveries
-            .into_iter()
-            .map(|r| RecoveryOut {
-                replayed: r.replayed,
-                skipped: r.skipped,
-                discarded_tail: r.discarded_tail,
-            })
-            .collect(),
-        stats: router.stats(),
-    };
-    to_pretty(&report)
-}
-
 /// `sem index query --model DIR --index index.snap --paper ID[,ID...]
-/// [--k K] [--deadline-ms MS]
-/// [--facets bg=0.2,method=0.7,result=0.1] [--diversity λ]
-/// [--candidates C]`: answers one coalesced batch of top-K queries and
-/// reports the engine counters. With a deadline, exhausted budgets yield
-/// partial results flagged `degraded` instead of blocking. A sharded
-/// family (manifest present) is served scatter-gather. Any facet flag
+/// [--k K] [--deadline-ms MS] [--facets bg=0.2,method=0.7,result=0.1]
+/// [--diversity λ] [--candidates C] [--metrics-out PATH]`: answers each
+/// paper's top-K query scatter-gather across the family's shards and
+/// reports the router counters. With a deadline, exhausted budgets yield
+/// partial results flagged `degraded` instead of blocking. Any facet flag
 /// switches on the two-stage path: the top-C stage-1 candidates are
 /// rescored with the per-subspace weights, and `--diversity λ` trades
 /// relevance against facet coverage MMR-style.
@@ -468,44 +358,22 @@ fn index_query(args: &Args) -> Result<String, CliError> {
         }
     }
     let embedder = PaperEmbedder::new(&pipeline, &sem);
-    if ShardManifest::exists(std::path::Path::new(index_path)) {
-        return index_query_sharded(
-            index_path,
-            &corpus,
-            &embedder,
-            &papers,
-            k,
-            deadline_ms,
-            &facet_args,
-        );
-    }
-    let (index, recovery) = load_index(index_path)?;
-    if index.dim() != embedder.dim() {
-        return Err(CliError(format!(
-            "index width {} does not match the model's {}",
-            index.dim(),
-            embedder.dim()
-        )));
-    }
-    let rerank = facet_args.to_params(&index.layout())?;
-    let config = EngineConfig {
-        default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
-        ..Default::default()
-    };
-    let engine = QueryEngine::new(index, config);
+    let (router, recoveries) = open_for_model(index_path, &embedder)?;
+    let rerank = facet_args.to_params(&router.layout())?;
     let requests: Vec<QueryRequest> = papers
         .iter()
         .map(|&p| {
-            let r = QueryRequest::new(embedder.embed_indexed(&corpus, PaperId::from(p)), k);
+            let mut r = QueryRequest::new(embedder.embed_indexed(&corpus, PaperId::from(p)), k);
+            r.deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
             match &rerank {
                 Some(params) => r.with_rerank(params.clone()),
                 None => r,
             }
         })
         .collect();
-    let responses = engine.query_batch(requests)?;
+    let responses = router.query_batch(requests)?;
     if let Some(path) = args.get("metrics-out") {
-        crate::metrics_cmd::write_metrics_out(&engine.metrics(), path)?;
+        crate::metrics_cmd::write_metrics_out(&router.metrics(), path)?;
     }
     let results = papers
         .iter()
@@ -514,18 +382,10 @@ fn index_query(args: &Args) -> Result<String, CliError> {
             paper: p,
             degraded: response.degraded,
             reason: response.reason,
-            hits: response
-                .hits
-                .into_iter()
-                .map(|h| {
-                    let (title, year) = describe(&corpus, h.id);
-                    HitOut { id: h.id, score: h.score, title, year }
-                })
-                .collect(),
+            hits: hits_out(&corpus, response.hits, None),
         })
         .collect();
-    let report = QueryReport { results, recovery, stats: engine.stats() };
-    to_pretty(&report)
+    to_pretty(&QueryReport { results, recoveries, stats: router.stats() })
 }
 
 #[derive(Serialize)]
@@ -537,7 +397,7 @@ struct IngestReport {
     self_rank: usize,
     hits: Vec<HitOut>,
     index_len: usize,
-    recovery: RecoveryOut,
+    recoveries: Vec<RecoveryStats>,
     out: String,
 }
 
@@ -566,26 +426,29 @@ fn paper_from_text(title: &str, abstract_text: &str, year: u16, id: usize) -> Pa
     }
 }
 
-/// The sharded branch of `ingest`: the paper routes to the shard owning
-/// the next global id, journals there (fsync before ack), and only that
-/// shard's cache is invalidated before the family is re-snapshotted.
-fn ingest_sharded(
-    base: &str,
-    corpus: &Corpus,
-    embedder: &PaperEmbedder,
-    title: &str,
-    abstract_text: &str,
-    year: u16,
-    k: usize,
-) -> Result<String, CliError> {
-    let (router, recoveries) =
-        ShardRouter::open(std::path::Path::new(base), ShardConfig::default())?;
-    if router.dim() != embedder.dim() {
-        return Err(CliError(format!(
-            "index width {} does not match the model's {}",
-            router.dim(),
-            embedder.dim()
-        )));
+/// `sem ingest --model DIR --index index.snap --title T --abstract TEXT
+/// [--year Y] [--k K] [--out index.snap] [--metrics-out PATH]`: embeds a
+/// brand-new zero-citation paper, routes it to the shard owning the next
+/// global id, journals it there (fsync) before acknowledging, inserts it
+/// without rebuilding (only that shard's cache is invalidated), compacts
+/// the family into fresh snapshots and queries the paper back. With
+/// `--out` the grown family is written at `out` and the input is left as
+/// it was.
+pub(crate) fn ingest(args: &Args) -> Result<String, CliError> {
+    let dir = PathBuf::from(args.required("model")?);
+    let index_path = args.required("index")?;
+    let title = args.required("title")?;
+    let abstract_text = args.required("abstract")?;
+    let k: usize = args.parse_num("k", 5)?;
+    let out = args.get("out").unwrap_or(index_path);
+    let (corpus, pipeline, _labels, sem) = load_model(&dir)?;
+    let year: u16 =
+        args.parse_num("year", corpus.papers.iter().map(|p| p.year).max().unwrap_or(2020) + 1)?;
+    let embedder = PaperEmbedder::new(&pipeline, &sem);
+    let (router, recoveries) = open_for_model(index_path, &embedder)?;
+    if out != index_path {
+        // journal and snapshot into the output family from here on
+        router.attach_stores(Path::new(out))?;
     }
     let paper = paper_from_text(title, abstract_text, year, router.len());
     if paper.sentences.is_empty() {
@@ -597,73 +460,8 @@ fn ingest_sharded(
     let self_rank = hits.iter().position(|h| h.id == ack.id).map(|r| r + 1).unwrap_or(0);
     // compact every shard's journal into a fresh atomic snapshot
     router.persist_all()?;
-    let report = IngestReport {
-        id: ack.id,
-        durable: ack.durable,
-        title: title.to_string(),
-        sentences: paper.sentences.len(),
-        self_rank,
-        hits: hits
-            .into_iter()
-            .map(|h| {
-                let (t, y) =
-                    if h.id == ack.id { (title.to_string(), year) } else { describe(corpus, h.id) };
-                HitOut { id: h.id, score: h.score, title: t, year: y }
-            })
-            .collect(),
-        index_len: router.len(),
-        recovery: RecoveryOut {
-            replayed: recoveries.iter().map(|r| r.replayed).sum(),
-            skipped: recoveries.iter().map(|r| r.skipped).sum(),
-            discarded_tail: recoveries.iter().any(|r| r.discarded_tail),
-        },
-        out: base.to_string(),
-    };
-    to_pretty(&report)
-}
-
-/// `sem ingest --model DIR --index index.snap --title T --abstract TEXT
-/// [--year Y] [--k K] [--out index.snap]`: embeds a brand-new zero-citation
-/// paper, journals it (fsync) before acknowledging, inserts it without
-/// rebuilding, compacts into a fresh snapshot and queries the paper back.
-/// On a sharded family the write routes to exactly the owning shard.
-pub(crate) fn ingest(args: &Args) -> Result<String, CliError> {
-    let dir = PathBuf::from(args.required("model")?);
-    let index_path = args.required("index")?;
-    let title = args.required("title")?;
-    let abstract_text = args.required("abstract")?;
-    let k: usize = args.parse_num("k", 5)?;
-    let out = args.get("out").unwrap_or(index_path).to_string();
-    let (corpus, pipeline, _labels, sem) = load_model(&dir)?;
-    let year: u16 =
-        args.parse_num("year", corpus.papers.iter().map(|p| p.year).max().unwrap_or(2020) + 1)?;
-    let embedder = PaperEmbedder::new(&pipeline, &sem);
-    if ShardManifest::exists(std::path::Path::new(index_path)) {
-        return ingest_sharded(index_path, &corpus, &embedder, title, abstract_text, year, k);
-    }
-    let (index, recovery) = load_index(index_path)?;
-    if index.dim() != embedder.dim() {
-        return Err(CliError(format!(
-            "index width {} does not match the model's {}",
-            index.dim(),
-            embedder.dim()
-        )));
-    }
-    let paper = paper_from_text(title, abstract_text, year, index.len());
-    if paper.sentences.is_empty() {
-        return Err(CliError("--abstract has no sentences".into()));
-    }
-    let engine = QueryEngine::new(index, EngineConfig::default());
-    engine.attach_store(IndexStore::open(&out));
-    let vector = embedder.embed_new(&paper);
-    let ack = engine.ingest_vector(vector.clone())?;
-    let hits = engine.query(vector, k)?.hits;
-    let self_rank = hits.iter().position(|h| h.id == ack.id).map(|r| r + 1).unwrap_or(0);
-    // compact journal + grown index into a fresh atomic snapshot
-    engine.persist()?;
-    let index_len = engine.with_index(|i| i.len())?;
     if let Some(path) = args.get("metrics-out") {
-        crate::metrics_cmd::write_metrics_out(&engine.metrics(), path)?;
+        crate::metrics_cmd::write_metrics_out(&router.metrics(), path)?;
     }
     let report = IngestReport {
         id: ack.id,
@@ -671,20 +469,10 @@ pub(crate) fn ingest(args: &Args) -> Result<String, CliError> {
         title: title.to_string(),
         sentences: paper.sentences.len(),
         self_rank,
-        hits: hits
-            .into_iter()
-            .map(|h| {
-                let (t, y) = if h.id == ack.id {
-                    (title.to_string(), year)
-                } else {
-                    describe(&corpus, h.id)
-                };
-                HitOut { id: h.id, score: h.score, title: t, year: y }
-            })
-            .collect(),
-        index_len,
-        recovery,
-        out,
+        hits: hits_out(&corpus, hits, Some((ack.id, title, year))),
+        index_len: router.len(),
+        recoveries,
+        out: out.to_string(),
     };
     to_pretty(&report)
 }
@@ -744,6 +532,9 @@ mod tests {
         .unwrap();
         assert!(built.contains("\"papers\": 130"), "{built}");
         assert!(built.contains("\"mode\": \"flat\""), "{built}");
+        assert!(built.contains("\"shards\": 1"), "{built}");
+        // an unsharded build is a plain snapshot: no manifest beside it
+        assert!(!sem_serve::manifest_path(&index_path).exists());
 
         // the fresh snapshot passes verification and reports the store
         // format version plus per-facet segment checksums
@@ -755,11 +546,20 @@ mod tests {
             assert!(verified.contains(&format!("\"name\": \"{facet}\"")), "{verified}");
         }
 
-        // and the health probe, loaded as a one-shard family
-        let probed =
-            run(&argv(&["index", "probe", "--index", index_path.to_str().unwrap()])).unwrap();
-        assert!(probed.contains("\"mode\": \"single\""), "{probed}");
+        // and the health probe, loaded as a one-shard family over the
+        // stored index itself, store check included
+        let probed = run(&argv(&[
+            "index",
+            "probe",
+            "--index",
+            index_path.to_str().unwrap(),
+            "--check-store",
+            "true",
+        ]))
+        .unwrap();
+        assert!(probed.contains("\"shards\": 1"), "{probed}");
         assert!(probed.contains("\"serving_ok\": true"), "{probed}");
+        assert!(probed.contains("\"store_ok\": true"), "{probed}");
 
         // batched query: each paper's own vector must rank itself first
         let q = run(&argv(&[
@@ -778,7 +578,7 @@ mod tests {
         assert!(q.contains("\"paper\": 3"), "{q}");
         assert!(q.contains("\"id\": 3"), "{q}");
         assert!(q.contains("\"id\": 40"), "{q}");
-        assert!(q.contains("\"largest_batch\": 2"), "{q}");
+        assert!(q.contains("\"queries\": 2"), "{q}");
         assert!(q.contains("\"degraded\": false"), "{q}");
 
         // a generous deadline changes nothing
@@ -882,6 +682,45 @@ mod tests {
         .unwrap();
         assert!(q2.contains("\"paper\": 3"), "{q2}");
 
+        // journal an ingest without compacting: the plain snapshot's tail
+        // outgrows a zero budget and the probe alarms on its one shard
+        let probe_zero_budget = || {
+            run(&argv(&[
+                "index",
+                "probe",
+                "--index",
+                index_path.to_str().unwrap(),
+                "--check-store",
+                "true",
+                "--max-journal-entries",
+                "0",
+            ]))
+        };
+        assert!(probe_zero_budget().unwrap().contains("\"tail_alarms\": []"));
+        let (router, _recoveries) =
+            sem_serve::ShardRouter::open(&index_path, sem_serve::ShardConfig::default()).unwrap();
+        let dim = router.dim();
+        router.ingest_vector(vec![0.25; dim]).unwrap();
+        drop(router);
+        let alarmed = probe_zero_budget().unwrap_err().to_string();
+        assert!(alarmed.contains("\"tail_alarms\": [\n    0\n  ]"), "{alarmed}");
+        assert!(alarmed.contains("\"journal_tail\": 1"), "{alarmed}");
+
+        // maintenance serves plain snapshots too: compaction folds the
+        // tail back and the probe is green again
+        let m = run(&argv(&[
+            "index",
+            "maintain",
+            "--index",
+            index_path.to_str().unwrap(),
+            "--compact",
+        ]))
+        .unwrap();
+        assert_eq!(m.matches("\"pause_us\":").count(), 1, "{m}");
+        assert!(m.contains("\"journal_tail\": 0"), "{m}");
+        assert!(probe_zero_budget().unwrap().contains("\"tail_alarms\": []"));
+        assert!(!sem_serve::manifest_path(&index_path).exists());
+
         std::fs::remove_file(&corpus_path).ok();
         std::fs::remove_file(&index_path).ok();
         std::fs::remove_dir_all(&model_dir).ok();
@@ -946,7 +785,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(built.contains("\"papers\": 90"), "{built}");
-        assert!(built.contains("\"mode\": \"sharded\""), "{built}");
+        assert!(built.contains("\"mode\": \"flat\""), "{built}");
         assert!(built.contains("\"shards\": 3"), "{built}");
         assert!(built.contains("\"quantized\": true"), "{built}");
 
@@ -969,13 +808,15 @@ mod tests {
             "true",
         ]))
         .unwrap();
-        assert!(probed.contains("\"mode\": \"sharded\""), "{probed}");
+        assert!(probed.contains("\"shards\": 3"), "{probed}");
         assert!(probed.contains("\"serving_ok\": true"), "{probed}");
         assert!(probed.contains("\"self_query_ok\": true"), "{probed}");
         assert!(probed.contains("\"store_ok\": true"), "{probed}");
         assert!(probed.contains("\"shard\": 2"), "{probed}");
 
-        // scatter-gather query: a paper's own vector ranks itself first
+        // scatter-gather query: a paper's own vector ranks itself first,
+        // and the metrics snapshot carries the per-shard scan histograms
+        let metrics_path = tmp("sh-metrics.json");
         let q = run(&argv(&[
             "index",
             "query",
@@ -987,12 +828,18 @@ mod tests {
             "7",
             "--k",
             "4",
+            "--metrics-out",
+            metrics_path.to_str().unwrap(),
         ]))
         .unwrap();
         assert!(q.contains("\"paper\": 7"), "{q}");
         assert!(q.contains("\"id\": 7"), "{q}");
         assert!(q.contains("\"degraded\": false"), "{q}");
         assert!(q.contains("\"shards\": 3"), "{q}");
+        let snapshot = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(snapshot.contains("\"serve.shard0.scan.ns\""), "{snapshot}");
+        assert!(snapshot.contains("\"serve.shard2.scan.ns\""), "{snapshot}");
+        assert!(metrics_path.with_extension("prom").exists());
 
         // the facet path also rides the scatter-gather fan-out
         let qf = run(&argv(&[
@@ -1015,6 +862,40 @@ mod tests {
         assert!(qf.contains("\"paper\": 7"), "{qf}");
         assert!(qf.contains("\"degraded\": false"), "{qf}");
         assert_eq!(qf.matches("\"id\":").count(), 4, "{qf}");
+
+        // routed ingest into a separate output family: the input family
+        // stays as built, the output holds the grown corpus and the
+        // ingest's metrics land in the snapshot
+        let out_path = tmp("sh-out.snap");
+        let ing_out = run(&argv(&[
+            "ingest",
+            "--model",
+            model_dir.to_str().unwrap(),
+            "--index",
+            index_path.to_str().unwrap(),
+            "--title",
+            "A sharded subspace paper",
+            "--abstract",
+            "Prior work studies embeddings. We shard the serving index. \
+             Latency stays flat under load.",
+            "--out",
+            out_path.to_str().unwrap(),
+            "--metrics-out",
+            metrics_path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(ing_out.contains("\"id\": 90"), "{ing_out}");
+        assert!(ing_out.contains("\"index_len\": 91"), "{ing_out}");
+        let grown =
+            run(&argv(&["index", "verify", "--index", out_path.to_str().unwrap()])).unwrap();
+        assert!(grown.contains("\"ok\": true") && grown.contains("\"shard\": 2"), "{grown}");
+        assert!(grown.contains("\"count\": 31"), "shard 0 holds the newcomer: {grown}");
+        let input =
+            run(&argv(&["index", "verify", "--index", index_path.to_str().unwrap()])).unwrap();
+        assert!(!input.contains("\"count\": 31"), "--out must leave the input alone: {input}");
+        let snapshot = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(snapshot.contains("\"serve.router.ingested\""), "{snapshot}");
+        assert!(snapshot.contains("\"serve.shard0.scan.ns\""), "{snapshot}");
 
         // routed ingest: next global id is 90, owned by shard 0 (90 % 3)
         let ing = run(&argv(&[
@@ -1119,12 +1000,16 @@ mod tests {
 
         std::fs::remove_file(&corpus_path).ok();
         std::fs::remove_dir_all(&model_dir).ok();
-        for i in 0..3 {
-            let shard = PathBuf::from(format!("{}.shard{i}", index_path.display()));
-            std::fs::remove_file(&shard).ok();
-            std::fs::remove_file(format!("{}.journal", shard.display())).ok();
+        std::fs::remove_file(&metrics_path).ok();
+        std::fs::remove_file(metrics_path.with_extension("prom")).ok();
+        for base in [&index_path, &out_path] {
+            for i in 0..3 {
+                let shard = PathBuf::from(format!("{}.shard{i}", base.display()));
+                std::fs::remove_file(&shard).ok();
+                std::fs::remove_file(format!("{}.journal", shard.display())).ok();
+            }
+            std::fs::remove_file(format!("{}.manifest", base.display())).ok();
         }
-        std::fs::remove_file(format!("{}.manifest", index_path.display())).ok();
     }
 
     #[test]
@@ -1149,7 +1034,7 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(err.contains("--check-store"), "{err}");
-        // maintain refuses single snapshots and no-op invocations
+        // maintain refuses no-op invocations
         assert!(run(&argv(&["index", "maintain", "--index", "/nonexistent/index.snap"])).is_err());
     }
 

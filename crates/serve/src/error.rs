@@ -48,8 +48,6 @@ pub enum ServeError {
     EmptyIndex,
     /// A structurally invalid configuration or payload.
     Invalid(String),
-    /// The engine's index is mid-recovery and cannot serve fresh searches.
-    Recovering,
     /// A shard of a [`crate::ShardRouter`] is down (crashed store, failed
     /// recovery) and the operation needed exactly that shard.
     ShardDown {
@@ -107,9 +105,6 @@ impl fmt::Display for ServeError {
             }
             ServeError::EmptyIndex => write!(f, "index holds no vectors"),
             ServeError::Invalid(msg) => write!(f, "invalid: {msg}"),
-            ServeError::Recovering => {
-                write!(f, "index is mid-recovery; fresh searches unavailable")
-            }
             ServeError::ShardDown { shard, detail } => {
                 write!(f, "shard {shard} is down: {detail}")
             }

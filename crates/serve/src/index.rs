@@ -202,7 +202,14 @@ fn normalize(v: &mut [f32]) {
     }
 }
 
-fn dot(a: &[f32], b: &[f32]) -> f32 {
+/// L2-normalised copy of `v` (an all-zero vector passes through).
+pub(crate) fn normalized(v: &[f32]) -> Vec<f32> {
+    let mut out = v.to_vec();
+    normalize(&mut out);
+    out
+}
+
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 

@@ -12,23 +12,21 @@
 //!   without rebuilding. [`AnnIndex::enable_sq8`] switches the scan to
 //!   SQ8 quantized codes (~4x smaller) with an exact f32 rescore of the
 //!   top candidates, so final scores stay exact.
-//! * [`QueryEngine`] coalesces concurrently enqueued queries into
-//!   rayon-parallel batches, caches results in an LRU keyed by the exact
-//!   normalised query, invalidates precisely the entries an ingested paper
-//!   could change, enforces per-request deadlines with graceful
-//!   degradation, and exposes per-stage latency/throughput counters.
 //! * [`IndexStore`] is crash-safe persistence: versioned checksummed
 //!   snapshots written atomically, plus a write-ahead journal so every
 //!   acknowledged ingest survives a crash; [`FaultPlan`] drives
 //!   deterministic fault-injection tests of exactly those guarantees.
-//! * [`ShardRouter`] scales the query path out: the corpus is partitioned
+//! * [`ShardRouter`] is the one serving stack: the corpus is partitioned
 //!   round-robin across N [`Shard`]s, each with its own index, LRU cache
-//!   and crash-safe store; queries fan out shard-parallel and merge via a
-//!   bounded binary-heap, ingests route to exactly one shard (and only
-//!   that shard's cache), and a dead shard degrades responses instead of
-//!   failing them until [`ShardRouter::recover_shard`] heals it. The
-//!   [`loadgen`] module (and `loadgen` binary) drive it with open-loop,
-//!   coordinated-omission-free load and report p50/p90/p99 as JSON.
+//!   (keyed by the exact query, invalidated precisely by ingests) and
+//!   crash-safe store; queries fan out shard-parallel under per-request
+//!   deadlines and merge via a bounded binary-heap, ingests route to
+//!   exactly one shard (and only that shard's cache), and a dead shard
+//!   degrades responses instead of failing them until
+//!   [`ShardRouter::recover_shard`] heals it. A plain snapshot opens as a
+//!   one-shard router ([`ShardRouter::open`]). The [`loadgen`] module (and
+//!   `loadgen` binary) drive it with open-loop, coordinated-omission-free
+//!   load and report p50/p90/p99 as JSON.
 //! * [`ShardSupervisor`] closes the healing loop: periodic health probes
 //!   (cheap self-query, optional store integrity check) trip a broken
 //!   shard down after consecutive failures and re-run crash recovery in
@@ -41,7 +39,7 @@
 //!
 //! The intended flow for a brand-new (zero-citation) paper: CRF sentence
 //! labels → sentence encoding → SEM subspace pooling → [`PaperEmbedder::embed_new`]
-//! → [`QueryEngine::ingest_vector`] — after which the paper is immediately
+//! → [`ShardRouter::ingest_vector`] — after which the paper is immediately
 //! retrievable, no retraining or index rebuild involved.
 //!
 //! Failures are typed end-to-end: every fallible serve operation returns
@@ -53,7 +51,6 @@
 
 pub mod cache;
 pub mod embed;
-pub mod engine;
 pub mod error;
 pub mod facet;
 pub mod fault;
@@ -68,10 +65,6 @@ pub mod supervisor;
 
 pub use cache::LruCache;
 pub use embed::{NpRecContext, PaperEmbedder};
-pub use engine::{
-    DegradeReason, EngineConfig, IngestAck, QueryEngine, QueryRequest, QueryResponse,
-    RecoveryStats, StatsSnapshot,
-};
 pub use error::ServeError;
 pub use facet::{
     parse_weights, FacetChecksum, FacetLayout, RerankParams, DEFAULT_CANDIDATES, NPREC_FACET_NAME,
@@ -88,14 +81,15 @@ pub use maintenance::{
     DrainReport, IngestQueue, Maintainer, MaintainerStatus, MaintenanceConfig, TickReport,
 };
 pub use router::{
-    manifest_path, shard_snapshot_path, verify_sharded, HedgeConfig, RouterStatsSnapshot,
-    ShardManifest, ShardRouter, ShardVerifyEntry, ShardedVerifyReport,
+    manifest_path, shard_snapshot_path, verify_sharded, DegradeReason, HedgeConfig, IngestAck,
+    LatencySummary, QueryRequest, QueryResponse, RouterStatsSnapshot, ShardManifest, ShardRouter,
+    ShardVerifyEntry, ShardedVerifyReport,
 };
 pub use shard::{
     merge_top_k, shard_of, CompactionReport, MaintenanceStatus, ProbeReport, Shard, ShardConfig,
     ShardStatsSnapshot,
 };
-pub use store::{Durability, IndexStore, Recovery, VerifyReport};
+pub use store::{Durability, IndexStore, Recovery, RecoveryStats, VerifyReport};
 pub use supervisor::{
     ShardHealth, ShardSupervisor, SupervisorConfig, SupervisorEvent, SupervisorSnapshot,
 };

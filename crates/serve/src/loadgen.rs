@@ -23,11 +23,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{DegradeReason, QueryRequest};
 use crate::error::ServeError;
 use crate::facet::{RerankParams, DEFAULT_CANDIDATES};
 use crate::maintenance::{Maintainer, MaintainerStatus, MaintenanceConfig};
-use crate::router::{HedgeConfig, ShardRouter};
+use crate::router::{DegradeReason, HedgeConfig, QueryRequest, ShardRouter};
 use crate::supervisor::{ShardSupervisor, SupervisorConfig, SupervisorEvent, SupervisorSnapshot};
 
 /// Parameters of one open-loop run.
@@ -82,10 +81,6 @@ impl Default for LoadgenConfig {
 pub struct DegradeBreakdown {
     /// Deadline budget ran out mid-scan.
     pub deadline: u64,
-    /// Served stale from cache during recovery.
-    pub stale: u64,
-    /// Mid-recovery cache miss (empty response).
-    pub unavailable: u64,
     /// One or more shards were down during the merge.
     pub shards_down: u64,
     /// One or more shards straggled past the hedge budget.
@@ -96,8 +91,6 @@ pub struct DegradeBreakdown {
 #[derive(Default)]
 struct ReasonCounts {
     deadline: AtomicU64,
-    stale: AtomicU64,
-    unavailable: AtomicU64,
     shards_down: AtomicU64,
     shard_slow: AtomicU64,
 }
@@ -106,8 +99,6 @@ impl ReasonCounts {
     fn count(&self, reason: DegradeReason) {
         let c = match reason {
             DegradeReason::Deadline => &self.deadline,
-            DegradeReason::Stale => &self.stale,
-            DegradeReason::Unavailable => &self.unavailable,
             DegradeReason::ShardsDown => &self.shards_down,
             DegradeReason::ShardSlow => &self.shard_slow,
         };
@@ -117,8 +108,6 @@ impl ReasonCounts {
     fn snapshot(&self) -> DegradeBreakdown {
         DegradeBreakdown {
             deadline: self.deadline.load(Ordering::Relaxed),
-            stale: self.stale.load(Ordering::Relaxed),
-            unavailable: self.unavailable.load(Ordering::Relaxed),
             shards_down: self.shards_down.load(Ordering::Relaxed),
             shard_slow: self.shard_slow.load(Ordering::Relaxed),
         }

@@ -11,8 +11,7 @@
 //! An ingested paper lands in exactly one shard, so it can only ever
 //! change that shard's local results — every other shard's cached entries
 //! remain *provably correct* (not merely "probably fresh") and survive the
-//! write. This is the invalidation-granularity fix over the single-engine
-//! cache, which had to drop any entry the newcomer might crack.
+//! write.
 //!
 //! **Merging.** [`merge_top_k`] combines per-shard sorted top-K lists with
 //! a bounded binary heap (one head per list, `k` pops), preserving the
@@ -29,10 +28,10 @@ use sem_obs::{Counter, Gauge, Histogram, Registry};
 use serde::Serialize;
 
 use crate::cache::LruCache;
-use crate::engine::{dot, LatencySummary};
 use crate::error::ServeError;
-use crate::index::{AnnIndex, DriftStats, Hit, IndexConfig, ReclusterReport};
-use crate::store::{Durability, IndexStore};
+use crate::index::{dot, normalized, AnnIndex, DriftStats, Hit, IndexConfig, ReclusterReport};
+use crate::router::LatencySummary;
+use crate::store::{Durability, IndexStore, RecoveryStats};
 
 /// Shard that owns global id `g` under an `n`-way partition.
 pub fn shard_of(global: usize, n: usize) -> usize {
@@ -61,9 +60,8 @@ impl Default for ShardConfig {
     }
 }
 
-/// Exact f32 bit-pattern cache key (same contract as the engine cache: two
-/// queries share an entry only when their normalised vectors and `k`
-/// match bit for bit).
+/// Exact f32 bit-pattern cache key: two queries share an entry only when
+/// their vectors and `k` match bit for bit.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct ShardCacheKey {
     bits: Vec<u32>,
@@ -375,7 +373,8 @@ impl Shard {
     /// a single index's — sharded scores equal single-index scores
     /// exactly, which the equivalence proptest pins down. Ids in the
     /// returned hits are global. Serves from the shard cache when
-    /// possible; only full-fidelity results are cached.
+    /// possible; only full-fidelity results are cached. A down shard
+    /// answers nothing, cached or not.
     pub(crate) fn search_local(
         &self,
         query: &[f32],
@@ -383,13 +382,21 @@ impl Shard {
         deadline: Option<Instant>,
     ) -> Result<LocalHits, ServeError> {
         let key = ShardCacheKey::new(query, k);
-        if let Some(entry) = self.cache.lock().get(&key) {
-            self.metrics.cache_hits.inc();
-            return Ok(LocalHits {
-                hits: entry.hits.clone(),
-                deadline_degraded: false,
-                cached: true,
-            });
+        {
+            // the cache is consulted under the state lock, so no entry
+            // warmed before a `Down` transition is served after it
+            let guard = self.state.read();
+            if let ShardState::Down(reason) = &*guard {
+                return Err(ServeError::ShardDown { shard: self.ordinal, detail: reason.clone() });
+            }
+            if let Some(entry) = self.cache.lock().get(&key) {
+                self.metrics.cache_hits.inc();
+                return Ok(LocalHits {
+                    hits: entry.hits.clone(),
+                    deadline_degraded: false,
+                    cached: true,
+                });
+            }
         }
         self.metrics.cache_misses.inc();
         // chaos hook: a straggling shard sleeps before it scans
@@ -411,9 +418,11 @@ impl Shard {
             std::thread::sleep(d);
         }
         let guard = self.state.read();
-        let ShardState::Ready(index) = &*guard else {
-            let reason = self.down_reason().unwrap_or_default();
-            return Err(ServeError::ShardDown { shard: self.ordinal, detail: reason });
+        let index = match &*guard {
+            ShardState::Ready(index) => index,
+            ShardState::Down(reason) => {
+                return Err(ServeError::ShardDown { shard: self.ordinal, detail: reason.clone() })
+            }
         };
         self.metrics.inflight.add(1.0);
         if index.is_quantized() {
@@ -433,10 +442,9 @@ impl Shard {
         if !deadline_degraded {
             // the entry keeps the *normalised* query: the invalidation
             // rule's dot-product bound is a cosine bound only then
-            self.cache.lock().insert(
-                key,
-                ShardCacheEntry { query: crate::engine::normalized(query), k, hits: hits.clone() },
-            );
+            self.cache
+                .lock()
+                .insert(key, ShardCacheEntry { query: normalized(query), k, hits: hits.clone() });
         }
         Ok(LocalHits { hits, deadline_degraded, cached: false })
     }
@@ -484,7 +492,7 @@ impl Shard {
         };
         // targeted invalidation, scoped to this shard: drop exactly the
         // local entries the newcomer could crack
-        let v = crate::engine::normalized(&vector);
+        let v = normalized(&vector);
         let dropped = self.cache.lock().retain(|_, entry| {
             if entry.hits.len() < entry.k {
                 return false;
@@ -776,10 +784,10 @@ impl Shard {
     /// # Errors
     /// No store attached, or recovery itself failing (the shard then stays
     /// down with the failure as its reason).
-    pub fn recover_from_store(&self) -> Result<crate::engine::RecoveryStats, ServeError> {
+    pub fn recover_from_store(&self) -> Result<RecoveryStats, ServeError> {
         let _maint = self.maintenance.lock();
         if let ShardState::Ready(index) = &*self.state.read() {
-            return Ok(crate::engine::RecoveryStats {
+            return Ok(RecoveryStats {
                 recovered_len: index.len(),
                 replayed: 0,
                 skipped: 0,
@@ -818,18 +826,15 @@ impl Shard {
             }
         }
         *self.store.lock() = Some(fresh);
-        let stats = crate::engine::RecoveryStats {
-            recovered_len: recovery.index.len(),
-            replayed: recovery.replayed,
-            skipped: recovery.skipped,
-            discarded_tail: recovery.discarded_tail,
-        };
+        let stats = recovery.stats();
         let mut guard = self.state.write();
         *self.last_len.lock() = recovery.index.len();
         self.metrics.len.set(recovery.index.len() as f64);
         *guard = ShardState::Ready(recovery.index);
-        drop(guard);
+        // cleared before readers see `Ready`: entries from before the
+        // failure may name ids the recovered index no longer holds
         self.cache.lock().clear();
+        drop(guard);
         self.metrics.recoveries.inc();
         Ok(stats)
     }
@@ -1010,7 +1015,7 @@ mod tests {
         // shard 1 of 3: locals 0..9 are globals 1, 4, 7, ...
         let index = AnnIndex::build(random_vectors(10, 6, 1), IndexConfig::default());
         let shard = Shard::new(1, 3, index, 64, &registry);
-        let q = crate::engine::normalized(&random_vectors(1, 6, 2).pop().unwrap());
+        let q = normalized(&random_vectors(1, 6, 2).pop().unwrap());
         let first = shard.search_local(&q, 4, None).unwrap();
         assert!(!first.cached);
         for h in &first.hits {
@@ -1085,7 +1090,7 @@ mod tests {
         let querier = {
             let (shard, stop) = (Arc::clone(&shard), Arc::clone(&stop));
             std::thread::spawn(move || {
-                let q = crate::engine::normalized(&[0.3, -0.2, 0.5, 0.1, -0.4, 0.2]);
+                let q = normalized(&[0.3, -0.2, 0.5, 0.1, -0.4, 0.2]);
                 while !stop.load(Ordering::SeqCst) {
                     assert!(!shard.search_local(&q, 5, None).unwrap().hits.is_empty());
                 }
@@ -1117,7 +1122,7 @@ mod tests {
         assert!(!r0.changed);
         assert_eq!(shard.epoch(), 0);
         // warm the cache, then drift the corpus well past its trained shape
-        let q = crate::engine::normalized(&random_vectors(1, 8, 6).pop().unwrap());
+        let q = normalized(&random_vectors(1, 8, 6).pop().unwrap());
         shard.search_local(&q, 5, None).unwrap();
         for (i, mut v) in random_vectors(120, 8, 99).into_iter().enumerate() {
             v[0] += 2.0; // shifted distribution
@@ -1145,8 +1150,8 @@ mod tests {
             IndexConfig::default(),
         );
         let shard = Shard::new(0, 2, index, 64, &registry);
-        let hot = crate::engine::normalized(&[1.0, 0.0]);
-        let cold = crate::engine::normalized(&[-1.0, 0.0]);
+        let hot = normalized(&[1.0, 0.0]);
+        let cold = normalized(&[-1.0, 0.0]);
         shard.search_local(&hot, 2, None).unwrap();
         shard.search_local(&cold, 2, None).unwrap();
         // global 6 = local 3 of shard 0 (n=2); aligned with `hot` only

@@ -143,6 +143,32 @@ pub struct Recovery {
     pub discarded_tail: bool,
 }
 
+impl Recovery {
+    /// What this recovery found, without the index.
+    pub fn stats(&self) -> RecoveryStats {
+        RecoveryStats {
+            recovered_len: self.index.len(),
+            replayed: self.replayed,
+            skipped: self.skipped,
+            discarded_tail: self.discarded_tail,
+        }
+    }
+}
+
+/// What recovering one shard from its store found (see
+/// [`crate::ShardRouter::open`] and [`crate::ShardRouter::recover_shard`]).
+#[derive(Clone, Copy, Debug, Serialize)]
+pub struct RecoveryStats {
+    /// Vectors in the recovered index.
+    pub recovered_len: usize,
+    /// Journal records replayed on top of the snapshot.
+    pub replayed: usize,
+    /// Records skipped as already compacted.
+    pub skipped: usize,
+    /// Whether a torn (unacknowledged) journal tail was discarded.
+    pub discarded_tail: bool,
+}
+
 /// Snapshot half of a [`VerifyReport`].
 #[derive(Debug, Serialize)]
 pub struct SnapshotReport {
@@ -286,9 +312,9 @@ impl IndexStore {
     }
 
     /// Points the store's instrumentation (journal appends, fsync latency,
-    /// snapshot writes, replay counters) at `registry`. Attaching a store
-    /// to a [`crate::QueryEngine`] does this automatically with the
-    /// engine's registry.
+    /// snapshot writes, replay counters) at `registry`.
+    /// [`crate::ShardRouter::open`] and [`crate::ShardRouter::attach_stores`]
+    /// do this automatically with the router's registry.
     pub fn set_metrics(&mut self, registry: &Arc<Registry>) {
         self.metrics = Some(StoreMetrics::new(registry));
     }

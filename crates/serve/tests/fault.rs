@@ -14,8 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sem_serve::fault::{flip_bit, truncate_file};
 use sem_serve::{
-    shard_snapshot_path, AnnIndex, EngineConfig, FaultPlan, IndexConfig, IndexStore, QueryEngine,
-    ServeError, ShardConfig, ShardRouter,
+    AnnIndex, FaultPlan, IndexConfig, IndexStore, ServeError, ShardConfig, ShardRouter,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -38,6 +37,15 @@ fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
 
 fn build(n: usize, dim: usize, seed: u64) -> AnnIndex {
     AnnIndex::build(random_vectors(n, dim, seed), IndexConfig::default())
+}
+
+/// Serves the plain snapshot at `path` as a one-shard router whose store
+/// is `store` (typically scripted with a [`FaultPlan`]).
+fn serve(path: &std::path::Path, store: IndexStore) -> ShardRouter {
+    let (router, _recoveries) =
+        ShardRouter::open(path, ShardConfig { shards: 1, ..Default::default() }).unwrap();
+    router.shard(0).attach_store(store);
+    router
 }
 
 /// A torn snapshot write (crash mid temp-file) leaves the previous
@@ -120,13 +128,12 @@ fn acknowledged_ingests_survive_crash_after_append() {
     let base = build(30, 6, 5);
     IndexStore::open(&path).save_snapshot(&base).unwrap();
 
-    let engine =
-        QueryEngine::new(IndexStore::open(&path).load().unwrap().index, EngineConfig::default());
-    engine.attach_store(IndexStore::open(&path).with_fault_plan(FaultPlan::crash_after_append(2)));
+    let router =
+        serve(&path, IndexStore::open(&path).with_fault_plan(FaultPlan::crash_after_append(2)));
     let extras = random_vectors(3, 6, 6);
     let mut acked = Vec::new();
     for (i, v) in extras.iter().enumerate() {
-        match engine.ingest_vector(v.clone()) {
+        match router.ingest_vector(v.clone()) {
             Ok(ack) => {
                 assert!(ack.durable);
                 acked.push((ack.id, v.clone()));
@@ -160,17 +167,16 @@ fn buffered_records_lost_on_crash_were_never_acked_durable() {
     let base = build(25, 5, 7);
     IndexStore::open(&path).save_snapshot(&base).unwrap();
 
-    let engine =
-        QueryEngine::new(IndexStore::open(&path).load().unwrap().index, EngineConfig::default());
-    engine.attach_store(
+    let router = serve(
+        &path,
         IndexStore::open(&path)
             .with_flush_every(4)
             .with_fault_plan(FaultPlan::crash_with_buffered(2)),
     );
     let extras = random_vectors(2, 5, 8);
-    let first = engine.ingest_vector(extras[0].clone()).unwrap();
+    let first = router.ingest_vector(extras[0].clone()).unwrap();
     assert!(!first.durable, "a buffered record must not be acked as durable");
-    let err = engine.ingest_vector(extras[1].clone()).unwrap_err();
+    let err = router.ingest_vector(extras[1].clone()).unwrap_err();
     assert!(err.is_injected(), "{err}");
 
     // reboot: the buffer evaporated with the "page cache"; only the base
@@ -191,14 +197,13 @@ fn crash_mid_compaction_replays_idempotently() {
     let base = build(20, 6, 9);
     IndexStore::open(&path).save_snapshot(&base).unwrap();
 
-    let engine =
-        QueryEngine::new(IndexStore::open(&path).load().unwrap().index, EngineConfig::default());
-    engine.attach_store(IndexStore::open(&path).with_fault_plan(FaultPlan::crash_mid_compaction()));
+    let router =
+        serve(&path, IndexStore::open(&path).with_fault_plan(FaultPlan::crash_mid_compaction()));
     for v in random_vectors(3, 6, 10) {
-        assert!(engine.ingest_vector(v).unwrap().durable);
+        assert!(router.ingest_vector(v).unwrap().durable);
     }
     // compaction writes the new snapshot, then dies before truncating
-    let err = engine.persist().unwrap_err();
+    let err = router.persist_all().unwrap_err();
     assert!(err.is_injected(), "{err}");
     assert!(IndexStore::open(&path).journal_path().exists());
 
@@ -211,31 +216,31 @@ fn crash_mid_compaction_replays_idempotently() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// After an injected crash the engine can rebuild itself from the store
-/// (poisoned-state recovery) and keep serving — no process restart needed.
+/// After an injected crash the one-shard router rebuilds its shard from
+/// the store (poisoned-state recovery) and keeps serving — no process
+/// restart needed.
 #[test]
-fn engine_recovers_from_store_after_injected_crash() {
-    let dir = scratch("engine-recover");
+fn router_recovers_from_store_after_injected_crash() {
+    let dir = scratch("router-recover");
     let path = dir.join("index.snap");
     let base = build(35, 7, 11);
     IndexStore::open(&path).save_snapshot(&base).unwrap();
 
-    let engine =
-        QueryEngine::new(IndexStore::open(&path).load().unwrap().index, EngineConfig::default());
-    engine.attach_store(IndexStore::open(&path).with_fault_plan(FaultPlan::crash_after_append(0)));
+    let router =
+        serve(&path, IndexStore::open(&path).with_fault_plan(FaultPlan::crash_after_append(0)));
     let v = random_vectors(1, 7, 12).pop().unwrap();
-    assert!(engine.ingest_vector(v.clone()).unwrap_err().is_injected());
+    assert!(router.ingest_vector(v.clone()).unwrap_err().is_injected());
     // the poisoned store refuses everything until recovery
-    assert!(engine.persist().is_err());
+    assert!(router.persist_all().is_err());
 
     // swap in a fresh store over the same paths and recover through it
-    engine.attach_store(IndexStore::open(&path));
-    let stats = engine.recover_from_store().unwrap();
-    assert!(!engine.is_recovering());
+    router.shard(0).attach_store(IndexStore::open(&path));
+    let stats = router.recover_shard(0).unwrap();
+    assert!(!router.shard(0).is_down());
     // the crashed append was synced before the injected crash, so replay
     // resurrects it — at-least-every-ack, and queries work again
     assert_eq!(stats.recovered_len, 36);
-    let top = engine.query(v, 1).unwrap();
+    let top = router.query(v, 1).unwrap();
     assert!(!top.degraded);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -266,19 +271,15 @@ proptest! {
         }
 
         // crashed path: snapshot, journal every ingest, then "crash"
-        // (drop the engine without compacting)
+        // (drop the router without compacting)
         IndexStore::open(&path).save_snapshot(
             &AnnIndex::build(base, IndexConfig::default()),
         ).unwrap();
-        let engine = QueryEngine::new(
-            IndexStore::open(&path).load().unwrap().index,
-            EngineConfig::default(),
-        );
-        engine.attach_store(IndexStore::open(&path));
+        let router = serve(&path, IndexStore::open(&path));
         for v in &extras {
-            prop_assert!(engine.ingest_vector(v.clone()).unwrap().durable);
+            prop_assert!(router.ingest_vector(v.clone()).unwrap().durable);
         }
-        drop(engine);
+        drop(router);
 
         // reboot + replay
         let recovery = IndexStore::open(&path).load().unwrap();
@@ -343,8 +344,9 @@ proptest! {
         }
 
         // swap in a store scripted to die mid-commit at one of the
-        // online-compaction crash points
-        let snap = shard_snapshot_path(&family, 0);
+        // online-compaction crash points (a one-shard family's store is
+        // the plain snapshot at the family path itself)
+        let snap = family.clone();
         let plan = match fault_kind {
             0 => FaultPlan::torn_snapshot(60),
             1 => FaultPlan::crash_mid_compaction(),

@@ -7,10 +7,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sem_serve::{
-    AnnIndex, EngineConfig, FacetLayout, Hit, IndexConfig, QueryEngine, RerankParams, ShardConfig,
-    ShardRouter,
-};
+use sem_serve::{AnnIndex, FacetLayout, Hit, IndexConfig, RerankParams, ShardConfig, ShardRouter};
 
 fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -49,11 +46,13 @@ proptest! {
         dim in 4usize..20,
         seed in 0u64..1_000,
     ) {
-        let idx = AnnIndex::build(random_vectors(n, dim, seed), IndexConfig::default());
-        let engine = QueryEngine::new(idx, EngineConfig::default());
+        let router = ShardRouter::try_build(
+            random_vectors(n, dim, seed),
+            ShardConfig { shards: 1, ..Default::default() },
+        ).unwrap();
         let fresh = random_vectors(1, dim, seed ^ 0xbeef).pop().unwrap();
-        let id = engine.ingest_vector(fresh.clone()).unwrap().id;
-        let response = engine.query(fresh, 10).unwrap();
+        let id = router.ingest_vector(fresh.clone()).unwrap().id;
+        let response = router.query(fresh, 10).unwrap();
         // self-query must rank the ingested paper first
         prop_assert!(!response.degraded);
         prop_assert_eq!(response.hits[0].id, id);

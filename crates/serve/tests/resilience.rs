@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sem_serve::{
-    AnnIndex, DegradeReason, EngineConfig, HedgeConfig, IndexConfig, QueryEngine, QueryRequest,
-    ServeError, ShardConfig, ShardRouter, ShardSupervisor, SupervisorConfig,
+    AnnIndex, DegradeReason, HedgeConfig, IndexConfig, QueryRequest, ServeError, ShardConfig,
+    ShardRouter, ShardSupervisor, SupervisorConfig,
 };
 
 fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -126,56 +126,60 @@ fn router_sheds_overload_with_typed_refusal() {
     assert!(router.query(random_vectors(1, 8, 84).pop().unwrap(), 5).is_ok());
 }
 
-/// Admission control on the engine: the pending-work budget bounds
-/// enqueued-but-unflushed requests; the flush drains them and re-opens
-/// admission.
+/// Admission control on a one-shard router: the inflight budget bounds
+/// concurrently served queries; once they complete, admission re-opens.
 #[test]
-fn engine_bounds_pending_work() {
-    let index = flat_single(random_vectors(30, 6, 91));
-    let engine = QueryEngine::new(
-        index,
-        EngineConfig { max_pending: 2, retry_after_ms: 40, ..Default::default() },
-    );
-    let q = |seed| QueryRequest::new(random_vectors(1, 6, seed).pop().unwrap(), 3);
-    let t1 = engine.enqueue(q(92)).unwrap();
-    let t2 = engine.enqueue(q(93)).unwrap();
-    let err = engine.enqueue(q(94)).unwrap_err();
-    assert!(matches!(err, ServeError::Overloaded { retry_after_ms: 40 }), "{err}");
-    assert_eq!(engine.stats().shed_overload, 1);
+fn one_shard_router_bounds_inflight_work() {
+    let router =
+        Arc::new(ShardRouter::try_build(random_vectors(30, 6, 91), flat_config(1)).unwrap());
+    router.set_admission(2, 40);
+    let q = |seed| random_vectors(1, 6, seed).pop().unwrap();
 
-    let done = engine.flush();
-    assert_eq!(done.len(), 2);
-    assert!(engine.take(t1).is_some() && engine.take(t2).is_some());
+    // park two queries inside the shard's scan so both permits stay held
+    router.shard(0).inject_scan_delay(Duration::from_millis(300), 2);
+    let parked: Vec<_> = [92, 93]
+        .into_iter()
+        .map(|seed| {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || router.query(q(seed), 3))
+        })
+        .collect();
+    let t0 = Instant::now();
+    while router.stats().inflight < 2 && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let err = router.query(q(94), 3).unwrap_err();
+    assert!(matches!(err, ServeError::Overloaded { retry_after_ms: 40 }), "{err}");
+    assert_eq!(router.stats().shed_overload, 1);
+
+    for handle in parked {
+        assert!(handle.join().unwrap().is_ok());
+    }
     // budget is free again
-    assert!(engine.enqueue(q(95)).is_ok());
+    assert!(router.query(q(95), 3).is_ok());
 }
 
-/// A request whose deadline expired while it sat in the engine's queue is
-/// shed at flush time — answered (empty, degraded `Deadline`) without ever
-/// touching the cache or the index, and counted by `serve.shed.expired`.
+/// A request whose deadline expired upstream is refused by a one-shard
+/// router — typed `DeadlineExceeded` — without ever touching the cache or
+/// the index, and counted by `serve.shed.expired`.
 #[test]
-fn engine_sheds_queue_expired_requests_without_searching() {
-    let index = flat_single(random_vectors(30, 6, 101));
-    let engine = QueryEngine::new(index, EngineConfig::default());
+fn one_shard_router_sheds_queue_expired_requests_without_searching() {
+    let router = ShardRouter::try_build(random_vectors(30, 6, 101), flat_config(1)).unwrap();
     let stale_arrival = Instant::now() - Duration::from_millis(50);
-    let ticket = engine
-        .enqueue(
+    let err = router
+        .query_request(
             QueryRequest::new(random_vectors(1, 6, 102).pop().unwrap(), 3)
                 .with_deadline(Duration::from_millis(1))
                 .with_arrival(stale_arrival),
         )
-        .unwrap();
-    let done = engine.flush();
-    assert_eq!(done, vec![ticket], "the expired request is still answered");
-    let response = engine.take(ticket).unwrap();
-    assert!(response.degraded);
-    assert_eq!(response.reason, Some(DegradeReason::Deadline));
-    assert!(response.hits.is_empty());
+        .unwrap_err();
+    assert!(matches!(err, ServeError::DeadlineExceeded), "{err}");
 
-    let stats = engine.stats();
+    let stats = router.stats();
     assert_eq!(stats.shed_expired, 1);
-    assert_eq!(stats.cache_hits + stats.cache_misses, 0, "shed before the cache lookup");
-    assert_eq!(stats.search.count, 0, "shed before the scan");
+    let shard = &stats.per_shard[0];
+    assert_eq!(shard.cache_hits + shard.cache_misses, 0, "shed before the cache lookup");
+    assert_eq!(shard.scan.count, 0, "shed before the scan");
 }
 
 /// The router refuses an already-expired request outright — typed

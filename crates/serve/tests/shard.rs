@@ -95,8 +95,7 @@ fn xq_u64_marker() -> u64 {
 
 /// The cache-granularity regression the ISSUE names: an ingest routed to
 /// shard i must leave the other shards' hot cache entries intact, so the
-/// aggregate hit rate survives cross-shard ingestion. (The single-engine
-/// cache would have considered every entry for invalidation.)
+/// aggregate hit rate survives cross-shard ingestion.
 #[test]
 fn cross_shard_ingest_preserves_other_shards_hit_rate() {
     let vectors = random_vectors(80, 8, 21);
@@ -149,6 +148,10 @@ fn shard_journal_corruption_degrades_then_heals_only_that_shard() {
     let router = ShardRouter::try_build(vectors, flat_config(3)).unwrap();
     router.attach_stores(&base).unwrap();
     router.persist_all().unwrap();
+    // warm every shard's cache with the query asked while the victim is
+    // down: a dead shard must not answer from its cache either
+    let q = random_vectors(1, 8, 40).pop().unwrap();
+    assert!(!router.query(q.clone(), 8).unwrap().degraded);
 
     // ingest until the victim shard (owner of the next id) journals, then
     // wreck that shard's journal backing file and ingest into it again
@@ -183,7 +186,6 @@ fn shard_journal_corruption_degrades_then_heals_only_that_shard() {
 
     // scatter-gather keeps serving: remaining shards answer, honestly
     // flagged degraded with the shards-down reason
-    let q = random_vectors(1, 8, 40).pop().unwrap();
     let response = router.query(q.clone(), 8).unwrap();
     assert!(response.degraded);
     assert_eq!(response.reason, Some(DegradeReason::ShardsDown));
